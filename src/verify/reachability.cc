@@ -700,6 +700,11 @@ std::optional<int> find_output_exceeding(const crn::Crn& crn,
   // without re-materializing the arena.
   std::vector<ConfigStore::Count> column;
   graph.store.collect_column(y, column);
+  return find_output_exceeding(column, bound);
+}
+
+std::optional<int> find_output_exceeding(
+    const std::vector<ConfigStore::Count>& column, math::Int bound) {
   for (std::size_t i = 0; i < column.size(); ++i) {
     if (column[i] > bound) return static_cast<int>(i);
   }

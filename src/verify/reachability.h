@@ -171,6 +171,12 @@ struct ExploreOptions {
 [[nodiscard]] std::optional<int> find_output_exceeding(
     const crn::Crn& crn, const ReachabilityGraph& graph, math::Int bound);
 
+/// The same scan over an output column already gathered with
+/// ConfigStore::collect_column (callers that need the column for more
+/// than this scan read it once).
+[[nodiscard]] std::optional<int> find_output_exceeding(
+    const std::vector<ConfigStore::Count>& column, math::Int bound);
+
 }  // namespace crnkit::verify
 
 #endif  // CRNKIT_VERIFY_REACHABILITY_H_

@@ -1,6 +1,9 @@
 #include "verify/stable.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <stdexcept>
 
 #include "geom/arrangement.h"
 #include "lint/guide.h"
@@ -11,79 +14,124 @@ namespace crnkit::verify {
 
 namespace {
 
-/// Iterative Tarjan SCC over the reachability graph's CSR adjacency.
-/// Returns component id per node; components are numbered in reverse
-/// topological order (every edge goes from a component to one with a
-/// smaller or equal id... Tarjan numbers sinks first).
-std::vector<int> tarjan_scc(const ReachabilityGraph& graph,
-                            int& component_count) {
-  const int n = static_cast<int>(graph.size());
-  std::vector<int> index(static_cast<std::size_t>(n), -1);
-  std::vector<int> lowlink(static_cast<std::size_t>(n), 0);
-  std::vector<bool> on_stack(static_cast<std::size_t>(n), false);
-  std::vector<int> component(static_cast<std::size_t>(n), -1);
-  std::vector<int> stack;
-  int next_index = 0;
-  component_count = 0;
+/// Verdict summary of one strongly connected component: the min and max
+/// output count reachable from it, and whether it can reach a correct
+/// stable component (one whose reachable outputs are all `expected`).
+struct ComponentSummary {
+  ConfigStore::Count lo;
+  ConfigStore::Count hi;
+  bool good;
+};
+static_assert(sizeof(ComponentSummary) == 12);
 
+/// Tarjan bookkeeping per node: DFS index (-1 = unvisited) and component
+/// id (-1 while the node is still on the Tarjan stack).
+struct NodeState {
+  std::int32_t index = -1;
+  std::int32_t comp = -1;
+};
+static_assert(sizeof(NodeState) == 8);
+
+struct SccVerdict {
+  std::vector<NodeState> node;
+  std::vector<ComponentSummary> comp;
+
+  [[nodiscard]] bool good(std::size_t v) const {
+    return comp[static_cast<std::size_t>(node[v].comp)].good;
+  }
+};
+
+/// One iterative Tarjan pass over the CSR adjacency that also folds the
+/// verdict. Tarjan finishes components sinks first, so every component an
+/// edge leaves to is already final when the edge is scanned. Each DFS
+/// frame carries its subtree's running fold (lowlink, output range,
+/// "reaches a good component"): an edge into a finished component folds
+/// that component's summary in; a returning child either finishes its own
+/// component (the parent folds the summary) or lies in the parent's
+/// component and merges its frame into the parent's. When a component's
+/// root returns, its frame holds the whole component's fold.
+SccVerdict fold_scc_verdict(const ReachabilityGraph& graph,
+                            const std::vector<ConfigStore::Count>& out,
+                            math::Int expected) {
   struct Frame {
-    int node;
-    std::size_t child;
+    std::int32_t node;
+    std::int32_t low;
+    std::uint64_t edge;  ///< next CSR position to scan
+    std::uint64_t end;
+    ConfigStore::Count lo;
+    ConfigStore::Count hi;
+    bool reach_good;
   };
-  std::vector<Frame> call_stack;
+  const std::size_t n = graph.size();
+  SccVerdict v;
+  v.node.resize(n);
+  std::vector<Frame> frames;
+  std::vector<std::int32_t> stack;
+  std::int32_t next_index = 0;
 
-  for (int root = 0; root < n; ++root) {
-    if (index[static_cast<std::size_t>(root)] != -1) continue;
-    call_stack.push_back({root, 0});
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      const int v = frame.node;
-      if (frame.child == 0) {
-        index[static_cast<std::size_t>(v)] = next_index;
-        lowlink[static_cast<std::size_t>(v)] = next_index;
-        ++next_index;
-        stack.push_back(v);
-        on_stack[static_cast<std::size_t>(v)] = true;
-      }
-      bool descended = false;
-      const auto children = graph.successors(v);
-      while (frame.child < children.size()) {
-        const int w = children[frame.child];
-        ++frame.child;
-        if (index[static_cast<std::size_t>(w)] == -1) {
-          call_stack.push_back({w, 0});
-          descended = true;
-          break;
+  const auto enter = [&](std::int32_t w) {
+    const auto u = static_cast<std::size_t>(w);
+    v.node[u].index = next_index;
+    frames.push_back({w, next_index, graph.succ_off[u], graph.succ_off[u + 1],
+                      out[u], out[u], false});
+    ++next_index;
+    stack.push_back(w);
+  };
+  // Every edge between components must point at a finished one with a
+  // smaller id. Checked per cross edge without ensure(), which would
+  // build its message string on every call.
+  const auto fold_component = [&](Frame& frame, std::int32_t c) {
+    if (c < 0 || static_cast<std::size_t>(c) >= v.comp.size()) {
+      throw std::logic_error("check_stable_computation: SCC order violated");
+    }
+    const ComponentSummary& s = v.comp[static_cast<std::size_t>(c)];
+    frame.lo = std::min(frame.lo, s.lo);
+    frame.hi = std::max(frame.hi, s.hi);
+    frame.reach_good = frame.reach_good || s.good;
+  };
+
+  for (std::size_t root = 0; root < n; ++root) {
+    if (v.node[root].index != -1) continue;
+    enter(static_cast<std::int32_t>(root));
+    while (!frames.empty()) {
+      Frame& frame = frames.back();
+      if (frame.edge < frame.end) {
+        const std::int32_t w = graph.succ[frame.edge++];
+        const NodeState s = v.node[static_cast<std::size_t>(w)];
+        if (s.index == -1) {
+          enter(w);  // invalidates `frame`
+        } else if (s.comp == -1) {
+          frame.low = std::min(frame.low, s.index);
+        } else {
+          fold_component(frame, s.comp);
         }
-        if (on_stack[static_cast<std::size_t>(w)]) {
-          lowlink[static_cast<std::size_t>(v)] =
-              std::min(lowlink[static_cast<std::size_t>(v)],
-                       index[static_cast<std::size_t>(w)]);
-        }
+        continue;
       }
-      if (descended) continue;
-      // All children done.
-      if (lowlink[static_cast<std::size_t>(v)] ==
-          index[static_cast<std::size_t>(v)]) {
-        while (true) {
-          const int w = stack.back();
-          stack.pop_back();
-          on_stack[static_cast<std::size_t>(w)] = false;
-          component[static_cast<std::size_t>(w)] = component_count;
-          if (w == v) break;
-        }
-        ++component_count;
+      const Frame done = frame;
+      frames.pop_back();
+      if (done.low != v.node[static_cast<std::size_t>(done.node)].index) {
+        // Not a root: the parent lies in the same component.
+        Frame& parent = frames.back();
+        parent.low = std::min(parent.low, done.low);
+        parent.lo = std::min(parent.lo, done.lo);
+        parent.hi = std::max(parent.hi, done.hi);
+        parent.reach_good = parent.reach_good || done.reach_good;
+        continue;
       }
-      call_stack.pop_back();
-      if (!call_stack.empty()) {
-        const int parent = call_stack.back().node;
-        lowlink[static_cast<std::size_t>(parent)] =
-            std::min(lowlink[static_cast<std::size_t>(parent)],
-                     lowlink[static_cast<std::size_t>(v)]);
+      const auto c = static_cast<std::int32_t>(v.comp.size());
+      v.comp.push_back(
+          {done.lo, done.hi,
+           done.reach_good || (done.lo == done.hi && done.lo == expected)});
+      std::int32_t w = -1;
+      while (w != done.node) {
+        w = stack.back();
+        stack.pop_back();
+        v.node[static_cast<std::size_t>(w)].comp = c;
       }
+      if (!frames.empty()) fold_component(frames.back(), c);
     }
   }
-  return component;
+  return v;
 }
 
 }  // namespace
@@ -135,94 +183,39 @@ StableCheckResult check_stable_computation(const crn::Crn& crn,
 
   const auto y = static_cast<std::size_t>(crn.output_or_throw());
 
-  // Overproduction is meaningful on its own (even from incomplete graphs).
-  if (const auto over = find_output_exceeding(crn, graph, expected)) {
-    result.overproduction = graph.config(*over);
+  // One streamed copy of the output column feeds both the overproduction
+  // scan and the verdict pass: under out-of-core exploration per-node
+  // view() reads would fault evicted pages back one witness at a time;
+  // collect_column streams each spilled segment exactly once instead.
+  std::vector<ConfigStore::Count> out_column;
+  {
+    obs::Span scan_span("verify.output_scan");
+    graph.store.collect_column(y, out_column);
+    // Overproduction is meaningful on its own (even from incomplete graphs).
+    if (const auto over = find_output_exceeding(out_column, expected)) {
+      result.overproduction = graph.config(*over);
+    }
   }
 
-  int component_count = 0;
-  std::vector<int> component;
+  SccVerdict verdict;
   {
     obs::Span scc_span("verify.scc");
-    component = tarjan_scc(graph, component_count);
+    verdict = fold_scc_verdict(graph, out_column, expected);
     scc_span.arg("nodes", static_cast<std::int64_t>(graph.size()));
-    scc_span.arg("components", component_count);
+    scc_span.arg("components", static_cast<std::int64_t>(verdict.comp.size()));
   }
 
-  // Tarjan numbers components in reverse topological order: every edge goes
-  // from a higher-or-equal component id to a lower-or-equal... concretely,
-  // for edge u -> v in different components, component[v] < component[u].
-  // So processing components in increasing id order visits successors first.
-  std::vector<math::Int> reach_min(static_cast<std::size_t>(component_count));
-  std::vector<math::Int> reach_max(static_cast<std::size_t>(component_count));
-  std::vector<bool> initialized(static_cast<std::size_t>(component_count),
-                                false);
-  std::vector<bool> good(static_cast<std::size_t>(component_count), false);
-
-  // Gather member output ranges over a single streamed copy of the
-  // output column: under out-of-core exploration per-node view() reads
-  // would fault evicted pages back one witness at a time; collect_column
-  // streams each spilled segment exactly once instead.
-  std::vector<ConfigStore::Count> out_column;
-  graph.store.collect_column(y, out_column);
-  for (std::size_t node = 0; node < graph.size(); ++node) {
-    const auto c = static_cast<std::size_t>(component[node]);
-    const math::Int out = out_column[node];
-    if (!initialized[c]) {
-      reach_min[c] = out;
-      reach_max[c] = out;
-      initialized[c] = true;
-    } else {
-      reach_min[c] = std::min(reach_min[c], out);
-      reach_max[c] = std::max(reach_max[c], out);
-    }
-  }
-  // Fold in successors (components in increasing id = reverse topological).
-  // Edges can go to any component with smaller id; iterate nodes and relax.
-  // Two passes are unnecessary: since successor components have smaller ids
-  // and are processed first, we relax while walking components in order.
-  std::vector<std::vector<int>> comp_succ(
-      static_cast<std::size_t>(component_count));
-  for (std::size_t node = 0; node < graph.size(); ++node) {
-    for (const std::int32_t next : graph.successors(static_cast<int>(node))) {
-      const int cu = component[node];
-      const int cv = component[static_cast<std::size_t>(next)];
-      if (cu != cv) comp_succ[static_cast<std::size_t>(cu)].push_back(cv);
-    }
-  }
-  for (int c = 0; c < component_count; ++c) {
-    for (const int next : comp_succ[static_cast<std::size_t>(c)]) {
-      ensure(next < c, "check_stable_computation: SCC order violated");
-      reach_min[static_cast<std::size_t>(c)] =
-          std::min(reach_min[static_cast<std::size_t>(c)],
-                   reach_min[static_cast<std::size_t>(next)]);
-      reach_max[static_cast<std::size_t>(c)] =
-          std::max(reach_max[static_cast<std::size_t>(c)],
-                   reach_max[static_cast<std::size_t>(next)]);
-    }
-    const bool stable_here =
-        reach_min[static_cast<std::size_t>(c)] ==
-        reach_max[static_cast<std::size_t>(c)];
-    good[static_cast<std::size_t>(c)] =
-        (stable_here && reach_min[static_cast<std::size_t>(c)] == expected);
-    if (!good[static_cast<std::size_t>(c)]) {
-      for (const int next : comp_succ[static_cast<std::size_t>(c)]) {
-        if (good[static_cast<std::size_t>(next)]) {
-          good[static_cast<std::size_t>(c)] = true;
-          break;
-        }
+  {
+    obs::Span verdict_span("verify.verdict");
+    result.ok = true;
+    for (std::size_t node = 0; node < graph.size(); ++node) {
+      if (!verdict.good(node)) {
+        result.ok = false;
+        result.counterexample = graph.config(static_cast<int>(node));
+        result.counterexample_path =
+            path_from_root(graph, static_cast<int>(node));
+        break;
       }
-    }
-  }
-
-  result.ok = true;
-  for (std::size_t node = 0; node < graph.size(); ++node) {
-    if (!good[static_cast<std::size_t>(component[node])]) {
-      result.ok = false;
-      result.counterexample = graph.config(static_cast<int>(node));
-      result.counterexample_path =
-          path_from_root(graph, static_cast<int>(node));
-      break;
     }
   }
   // An incomplete exploration cannot prove success.

@@ -2,12 +2,15 @@
 // "C stably computes f on x" iff from every configuration reachable from
 // I_x, some stable configuration O with O(Y) = f(x) remains reachable.
 //
-// Implemented on the exact reachability graph: SCC condensation, then two
-// DAG passes — (1) the min/max output count reachable from each SCC decides
-// stability (an SCC is stable iff that range is a single value), and (2)
-// backward propagation of "a correct stable SCC is reachable". The CRN
-// stably computes f(x) iff every explored SCC can reach a correct stable
-// SCC. This is a *proof* when exploration is complete.
+// Implemented on the exact reachability graph in one iterative Tarjan
+// pass that folds the verdict while it finds the SCCs. Tarjan finishes
+// components sinks first, so when a component's root pops, every
+// component it has an edge to is already final: the component's summary
+// is the min/max output count reachable from it (it is stable iff that
+// range is a single value) and whether it reaches a correct stable
+// component (it is one itself iff its range is exactly {expected}). The
+// CRN stably computes f(x) iff every explored SCC reaches a correct
+// stable SCC. This is a *proof* when exploration is complete.
 #ifndef CRNKIT_VERIFY_STABLE_H_
 #define CRNKIT_VERIFY_STABLE_H_
 

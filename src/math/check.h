@@ -10,17 +10,21 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace crnkit {
 
+// Both take the message as a view and build the std::string only on the
+// throw path, so a passing check with a literal message never allocates.
+
 /// Throws std::invalid_argument if `cond` is false. Use for caller errors.
-inline void require(bool cond, const std::string& what) {
-  if (!cond) throw std::invalid_argument(what);
+inline void require(bool cond, std::string_view what) {
+  if (!cond) throw std::invalid_argument(std::string(what));
 }
 
 /// Throws std::logic_error if `cond` is false. Use for internal invariants.
-inline void ensure(bool cond, const std::string& what) {
-  if (!cond) throw std::logic_error(what);
+inline void ensure(bool cond, std::string_view what) {
+  if (!cond) throw std::logic_error(std::string(what));
 }
 
 /// Thrown when an exact integer computation would overflow 64 bits.

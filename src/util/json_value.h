@@ -1,9 +1,9 @@
-// A small JSON document model with a recursive-descent parser — the DOM
-// counterpart of the syntax-only checker in util/json_parse.h. The service
-// layer parses line-JSON requests with it, the proof cache loads its
-// persisted form through it, and tests round-trip every CLI/server JSON
-// output through it (parse -> field access), so writer and parser stay in
-// agreement about what the versioned schema emits.
+// A small JSON document model with a recursive-descent parser — the one
+// JSON parser in crnkit. The service layer parses line-JSON requests with
+// it, the proof cache loads its persisted form through it, json_check and
+// bench_compare read BENCH artifacts with it, and tests round-trip every
+// CLI/server JSON output through it (parse -> field access), so writer
+// and parser stay in agreement about what the versioned schema emits.
 //
 // Numbers are kept both ways: as the int64 value when the token is an
 // exact integer in range, and as the double value always. Object member

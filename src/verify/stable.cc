@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <sstream>
-#include <stdexcept>
 
 #include "geom/arrangement.h"
 #include "lint/guide.h"
@@ -78,12 +77,10 @@ SccVerdict fold_scc_verdict(const ReachabilityGraph& graph,
     stack.push_back(w);
   };
   // Every edge between components must point at a finished one with a
-  // smaller id. Checked per cross edge without ensure(), which would
-  // build its message string on every call.
+  // smaller id.
   const auto fold_component = [&](Frame& frame, std::int32_t c) {
-    if (c < 0 || static_cast<std::size_t>(c) >= v.comp.size()) {
-      throw std::logic_error("check_stable_computation: SCC order violated");
-    }
+    ensure(c >= 0 && static_cast<std::size_t>(c) < v.comp.size(),
+           "check_stable_computation: SCC order violated");
     const ComponentSummary& s = v.comp[static_cast<std::size_t>(c)];
     frame.lo = std::min(frame.lo, s.lo);
     frame.hi = std::max(frame.hi, s.hi);

@@ -10,15 +10,10 @@
 
 #include "cli/crnc.h"
 #include "scenario/registry.h"
-#include "util/json_parse.h"
 #include "util/json_value.h"
 
 namespace crnkit::cli {
 namespace {
-
-// The JSON syntax checker is shared with the json_check tool the bench
-// smoke tests use (util/json_parse.h).
-using JsonChecker = util::JsonSyntaxChecker;
 
 struct RunResult {
   int status = -1;
@@ -34,7 +29,8 @@ RunResult run(const std::vector<std::string>& args) {
 }
 
 void expect_valid_json(const std::string& text) {
-  EXPECT_TRUE(JsonChecker(text).valid()) << "invalid JSON:\n" << text;
+  EXPECT_NO_THROW((void)util::JsonValue::parse(text)) << "invalid JSON:\n"
+                                                     << text;
 }
 
 TEST(Crnc, NoArgumentsPrintsUsageAndFails) {

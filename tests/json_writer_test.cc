@@ -1,12 +1,14 @@
 // Tests for the shared JSON emission helper: escaping (including the
 // control characters and quote/backslash cases the old bench escaper
-// mishandled), comma placement, and nesting.
+// mishandled), comma placement, and nesting — plus the tokens the parser
+// must refuse, which is what json_check promises for BENCH artifacts.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
-#include "util/json_parse.h"
+#include "util/json_value.h"
 #include "util/json_writer.h"
 
 namespace crnkit::util {
@@ -72,7 +74,27 @@ TEST(JsonWriter, NonFiniteDoublesEmitNull) {
   EXPECT_EQ(w.str(),
             "{\"nan\": null, \"inf\": null, "
             "\"neg_inf\": null, \"fixed_nan\": null, \"fine\": 1.5}");
-  EXPECT_TRUE(JsonSyntaxChecker(w.str()).valid());
+  EXPECT_NO_THROW((void)JsonValue::parse(w.str()));
+}
+
+TEST(JsonValue, RejectsWhatJsonCheckPromisesToCatch) {
+  const char* const rejected[] = {
+      // Non-finite numbers have no JSON token.
+      "NaN", "{\"x\": NaN}", "Infinity", "[Infinity]", "-Infinity",
+      "{\"x\": -Infinity}",
+      // Truncated object or array.
+      "{\"a\": 1", "[1, 2", "{\"a\": [1, 2}",
+      // Unterminated string.
+      "\"abc", "{\"a\": \"abc}",
+      // Trailing garbage.
+      "{} x", "[1] ]", "1 2",
+      // Bare trailing comma.
+      "{\"a\": 1,}", "[1, 2,]",
+  };
+  for (const char* text : rejected) {
+    EXPECT_THROW((void)JsonValue::parse(text), std::invalid_argument)
+        << text;
+  }
 }
 
 TEST(JsonWriter, NonFiniteInsideArrayKeepsCommaDiscipline) {
@@ -80,7 +102,7 @@ TEST(JsonWriter, NonFiniteInsideArrayKeepsCommaDiscipline) {
   JsonWriter w;
   w.begin_array().value(1.0).value(nan).value(2.0).end_array();
   EXPECT_EQ(w.str(), "[1, null, 2]");
-  EXPECT_TRUE(JsonSyntaxChecker(w.str()).valid());
+  EXPECT_NO_THROW((void)JsonValue::parse(w.str()));
 }
 
 TEST(JsonWriter, KeysAreEscaped) {

@@ -3,22 +3,22 @@
 // port, cross-connection proof-cache reuse, batch scheduling, 64-way
 // concurrent clients with verdicts bit-identical to a one-shot service
 // run, and clean shutdown with connections (and requests) in flight.
+// All of it goes through svc::Client, whose call() retry contract (typed
+// sheds, resets, spent budgets) is tested here too.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
+#include "svc/client.h"
 #include "svc/server.h"
 #include "svc/service.h"
 #include "util/fault_injector.h"
@@ -29,71 +29,28 @@ namespace {
 
 using util::JsonValue;
 
-/// Minimal blocking line client against 127.0.0.1:port.
-class Client {
- public:
-  explicit Client(int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    EXPECT_GE(fd_, 0);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
-                        sizeof(addr)),
-              0);
-  }
-  ~Client() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
+constexpr const char* kHost = "127.0.0.1";
+constexpr const char* kShowMin = "{\"op\": \"show\", \"target\": \"fig1/min\"}";
+constexpr const char* kVerifyMin =
+    "{\"op\": \"verify\", \"target\": \"fig1/min\"}";
 
-  void send_raw(const std::string& text) {
-    std::size_t sent = 0;
-    while (sent < text.size()) {
-      const ssize_t n =
-          ::send(fd_, text.data() + sent, text.size() - sent, MSG_NOSIGNAL);
-      ASSERT_GT(n, 0);
-      sent += static_cast<std::size_t>(n);
-    }
+/// A served verify verdict matches a one-shot run point for point.
+void expect_same_verdict(const JsonValue& got, const JsonValue& want) {
+  EXPECT_TRUE(got.get_bool("ok", false));
+  EXPECT_EQ(got.get_int("proved", -1), want.get_int("proved", -2));
+  EXPECT_EQ(got.get_int("failed", -1), 0);
+  const auto& want_points = want.get("points").items();
+  const auto& got_points = got.get("points").items();
+  ASSERT_EQ(got_points.size(), want_points.size());
+  for (std::size_t p = 0; p < want_points.size(); ++p) {
+    EXPECT_EQ(got_points[p].get_string("x", "?"),
+              want_points[p].get_string("x", "!"));
+    EXPECT_EQ(got_points[p].get_int("configs", -1),
+              want_points[p].get_int("configs", -2));
+    EXPECT_EQ(got_points[p].get_string("status", "?"),
+              want_points[p].get_string("status", "!"));
   }
-
-  std::string read_line() {
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string line = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return line;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return buffer_;  // EOF: whatever is left
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::string read_to_eof() {
-    std::string all = buffer_;
-    buffer_.clear();
-    char chunk[4096];
-    for (;;) {
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) return all;
-      all.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
-  std::string roundtrip(const std::string& line) {
-    send_raw(line + "\n");
-    return read_line();
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
+}
 
 TEST(Serve, LineProtocolAnswersAndCachesAcrossConnections) {
   Service service;
@@ -101,7 +58,7 @@ TEST(Serve, LineProtocolAnswersAndCachesAcrossConnections) {
   server.start();
 
   {
-    Client client(server.port());
+    Client client(kHost, server.port());
     const JsonValue pong = JsonValue::parse(client.roundtrip("{\"op\": \"ping\"}"));
     EXPECT_EQ(pong.get_int("schema_version", -1), 1);
     EXPECT_TRUE(pong.get_bool("pong", false));
@@ -114,7 +71,7 @@ TEST(Serve, LineProtocolAnswersAndCachesAcrossConnections) {
   }
   {
     // A new connection hits the entries the first one populated.
-    Client client(server.port());
+    Client client(kHost, server.port());
     const JsonValue warm = JsonValue::parse(client.roundtrip(
         "{\"op\": \"verify\", \"target\": \"fig1/min\"}"));
     EXPECT_TRUE(warm.get_bool("ok", false));
@@ -136,7 +93,7 @@ TEST(Serve, MalformedAndUnknownRequestsGetErrorResponses) {
   Server server(service);
   server.start();
 
-  Client client(server.port());
+  Client client(kHost, server.port());
   const JsonValue bad = JsonValue::parse(client.roundtrip("{not json"));
   EXPECT_EQ(bad.get_int("schema_version", -1), 1);
   EXPECT_TRUE(bad.has("error"));
@@ -155,7 +112,7 @@ TEST(Serve, BatchSchedulesSubRequestsAndKeepsOrder) {
   Server server(service);
   server.start();
 
-  Client client(server.port());
+  Client client(kHost, server.port());
   const JsonValue batch = JsonValue::parse(client.roundtrip(
       "{\"op\": \"batch\", \"requests\": ["
       "{\"op\": \"show\", \"target\": \"fig1/min\"}, "
@@ -176,9 +133,9 @@ TEST(Serve, HttpPostAndHealthzOnTheSamePort) {
   server.start();
 
   {
-    Client client(server.port());
+    Client client(kHost, server.port());
     const std::string body = "{\"target\": \"fig1/min\"}";
-    client.send_raw("POST /v1/verify HTTP/1.1\r\nHost: x\r\nContent-Length: " +
+    client.send("POST /v1/verify HTTP/1.1\r\nHost: x\r\nContent-Length: " +
                     std::to_string(body.size()) + "\r\n\r\n" + body);
     const std::string response = client.read_to_eof();
     EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
@@ -189,8 +146,8 @@ TEST(Serve, HttpPostAndHealthzOnTheSamePort) {
     EXPECT_TRUE(parsed.get_bool("ok", false));
   }
   {
-    Client client(server.port());
-    client.send_raw("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
+    Client client(kHost, server.port());
+    client.send("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     const std::string response = client.read_to_eof();
     EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
     const auto blank = response.find("\r\n\r\n");
@@ -205,8 +162,8 @@ TEST(Serve, HttpPostAndHealthzOnTheSamePort) {
     EXPECT_TRUE(health.get_bool("ok", false));
   }
   {
-    Client client(server.port());
-    client.send_raw("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
+    Client client(kHost, server.port());
+    client.send("GET /nope HTTP/1.1\r\nHost: x\r\n\r\n");
     EXPECT_NE(client.read_to_eof().find("404"), std::string::npos);
   }
 
@@ -236,7 +193,7 @@ TEST(Serve, SixtyFourConcurrentClientsGetIdenticalVerdicts) {
   threads.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
-      Client client(server.port());
+      Client client(kHost, server.port());
       const auto slot = static_cast<std::size_t>(i);
       if (i % 3 != 2) {
         responses[slot] = client.roundtrip(
@@ -255,22 +212,8 @@ TEST(Serve, SixtyFourConcurrentClientsGetIdenticalVerdicts) {
     const JsonValue got =
         JsonValue::parse(responses[static_cast<std::size_t>(i)]);
     if (i % 3 != 2) {
-      EXPECT_TRUE(got.get_bool("ok", false)) << i;
-      EXPECT_EQ(got.get_int("proved", -1),
-                want_min_json.get_int("proved", -2))
-          << i;
-      EXPECT_EQ(got.get_int("failed", -1), 0) << i;
-      const auto& want_points = want_min_json.get("points").items();
-      const auto& got_points = got.get("points").items();
-      ASSERT_EQ(got_points.size(), want_points.size()) << i;
-      for (std::size_t p = 0; p < want_points.size(); ++p) {
-        EXPECT_EQ(got_points[p].get_string("x", "?"),
-                  want_points[p].get_string("x", "!"));
-        EXPECT_EQ(got_points[p].get_int("configs", -1),
-                  want_points[p].get_int("configs", -2));
-        EXPECT_EQ(got_points[p].get_string("status", "?"),
-                  want_points[p].get_string("status", "!"));
-      }
+      SCOPED_TRACE(i);
+      expect_same_verdict(got, want_min_json);
     } else {
       EXPECT_EQ(got.get_int("output", -1),
                 want_sim_json.get_int("output", -2))
@@ -289,7 +232,7 @@ TEST(Serve, SixtyFourConcurrentClientsGetIdenticalVerdicts) {
 /// The per-op request counter's value for one exact series key, from the
 /// structured `metrics` op (0 when the series does not exist yet).
 std::int64_t scraped_counter(int port, const std::string& series) {
-  Client client(port);
+  Client client(kHost, port);
   const JsonValue doc =
       JsonValue::parse(client.roundtrip("{\"op\": \"metrics\"}"));
   const JsonValue* value = doc.get("metrics").get("counters").find(series);
@@ -329,8 +272,8 @@ TEST(Serve, MetricsScrapeAgreesWithAuthoritativeCountsUnderLoad) {
   std::thread scraper([&] {
     std::int64_t last = requests_before;
     while (!done.load()) {
-      Client client(server.port());
-      client.send_raw("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+      Client client(kHost, server.port());
+      client.send("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
       const std::string response = client.read_to_eof();
       EXPECT_NE(response.find("HTTP/1.1 200 OK"), std::string::npos);
       EXPECT_NE(response.find("text/plain; version=0.0.4"),
@@ -349,7 +292,7 @@ TEST(Serve, MetricsScrapeAgreesWithAuthoritativeCountsUnderLoad) {
   threads.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&] {
-      Client client(server.port());
+      Client client(kHost, server.port());
       const JsonValue got = JsonValue::parse(client.roundtrip(
           "{\"op\": \"verify\", \"target\": \"fig1/min\"}"));
       EXPECT_TRUE(got.get_bool("ok", false));
@@ -383,7 +326,7 @@ TEST(Serve, AccessLogRecordsOpStatusAndCacheOutcome) {
   server.start();
 
   {
-    Client client(server.port());
+    Client client(kHost, server.port());
     client.roundtrip("{\"op\": \"verify\", \"target\": \"fig1/min\"}");
     client.roundtrip("{\"op\": \"verify\", \"target\": \"fig1/min\"}");
     client.roundtrip("{not json");
@@ -406,11 +349,11 @@ TEST(Serve, StopWithConnectionsAndRequestsInFlightIsClean) {
   server->start();
 
   // One idle connection, one with a half-sent request, one mid-request.
-  Client idle(server->port());
-  Client half(server->port());
-  half.send_raw("{\"op\": \"verify\", \"target\":");
-  Client busy(server->port());
-  busy.send_raw("{\"op\": \"verify\", \"target\": \"fig1/min\"}\n");
+  Client idle(kHost, server->port());
+  Client half(kHost, server->port());
+  half.send("{\"op\": \"verify\", \"target\":");
+  Client busy(kHost, server->port());
+  busy.send("{\"op\": \"verify\", \"target\": \"fig1/min\"}\n");
 
   // stop() must shut all three down and join without hanging; the
   // in-flight dispatch either finishes (full response line) or the
@@ -429,7 +372,7 @@ TEST(Serve, StopWithConnectionsAndRequestsInFlightIsClean) {
   // A stopped server can be restarted on a fresh port.
   server = std::make_unique<Server>(service);
   server->start();
-  Client again(server->port());
+  Client again(kHost, server->port());
   EXPECT_TRUE(JsonValue::parse(again.roundtrip("{\"op\": \"ping\"}"))
                   .get_bool("pong", false));
   server->stop();
@@ -445,14 +388,14 @@ TEST(Serve, ConnectionGateShedsWithTypedRefusal) {
 
   // One connection holds the only slot (the ping proves its handler is
   // up and counted before anyone else connects).
-  auto holder = std::make_unique<Client>(server.port());
+  auto holder = std::make_unique<Client>(kHost, server.port());
   EXPECT_TRUE(JsonValue::parse(holder->roundtrip("{\"op\": \"ping\"}"))
                   .get_bool("pong", false));
 
   {
     // A line client over the limit: one typed retriable refusal, then
     // the server closes the connection.
-    Client extra(server.port());
+    Client extra(kHost, server.port());
     const JsonValue shed = JsonValue::parse(
         extra.roundtrip("{\"op\": \"verify\", \"target\": \"fig1/min\"}"));
     EXPECT_EQ(shed.get_int("schema_version", -1), 1);
@@ -465,8 +408,8 @@ TEST(Serve, ConnectionGateShedsWithTypedRefusal) {
   {
     // An HTTP client over the limit: the same body under 503 with a
     // whole-seconds Retry-After hint (120ms rounds up to 1).
-    Client extra(server.port());
-    extra.send_raw(
+    Client extra(kHost, server.port());
+    extra.send(
         "POST /v1/verify HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}");
     const std::string response = extra.read_to_eof();
     EXPECT_NE(response.find("HTTP/1.1 503 Service Unavailable"),
@@ -484,7 +427,7 @@ TEST(Serve, ConnectionGateShedsWithTypedRefusal) {
   holder.reset();
   bool recovered = false;
   for (int i = 0; i < 200 && !recovered; ++i) {
-    Client probe(server.port());
+    Client probe(kHost, server.port());
     recovered = JsonValue::parse(probe.roundtrip("{\"op\": \"ping\"}"))
                     .get_bool("pong", false);
     if (!recovered) {
@@ -515,7 +458,7 @@ TEST(Serve, InflightGateShedsRequestsButPingStillAnswers) {
   threads.reserve(kClients);
   for (int i = 0; i < kClients; ++i) {
     threads.emplace_back([&, i] {
-      Client client(server.port());
+      Client client(kHost, server.port());
       responses[static_cast<std::size_t>(i)] = client.roundtrip(
           "{\"op\": \"show\", \"target\": \"fig1/min\"}");
     });
@@ -525,15 +468,15 @@ TEST(Serve, InflightGateShedsRequestsButPingStillAnswers) {
   // daemon) and must 503 an HTTP POST.
   std::this_thread::sleep_for(std::chrono::milliseconds(150));
   {
-    Client http(server.port());
-    http.send_raw(
+    Client http(kHost, server.port());
+    http.send(
         "POST /v1/show HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}");
     const std::string response = http.read_to_eof();
     EXPECT_NE(response.find("503"), std::string::npos);
     EXPECT_NE(response.find("Retry-After:"), std::string::npos);
   }
   {
-    Client probe(server.port());
+    Client probe(kHost, server.port());
     EXPECT_TRUE(JsonValue::parse(probe.roundtrip("{\"op\": \"ping\"}"))
                     .get_bool("pong", false));
   }
@@ -558,6 +501,118 @@ TEST(Serve, InflightGateShedsRequestsButPingStillAnswers) {
   EXPECT_GT(shed, 0u) << "six concurrent requests against one slot";
   // Every line-protocol shed is counted (the HTTP 503 above adds one more).
   EXPECT_EQ(server.stats().shed, shed + 1);
+}
+
+/// Blocks until `server` has counted `n` line requests, so a request sent
+/// from another thread is known to hold its inflight slot.
+void wait_for_requests(const Server& server, std::uint64_t n) {
+  for (int i = 0; i < 2000 && server.stats().requests < n; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(server.stats().requests, n);
+}
+
+/// A server whose single inflight slot is held for `hold_ms` by a show
+/// request sent from `holder`; requests behind it are shed with a
+/// `retry_after_ms` hint.
+struct BusyServer {
+  BusyServer(int hold_ms, int retry_after_ms) {
+    util::FaultInjector::instance().configure(
+        "server.dispatch.delay=always:arg=" + std::to_string(hold_ms));
+    Server::Options options;
+    options.max_inflight = 1;
+    options.retry_after_ms = retry_after_ms;
+    server = std::make_unique<Server>(service, options);
+    server->start();
+    holder = std::thread([this] {
+      Client client(kHost, server->port());
+      EXPECT_EQ(JsonValue::parse(client.roundtrip(kShowMin))
+                    .get_string("name", ""),
+                "fig1/min");
+    });
+    wait_for_requests(*server, 1);
+  }
+  ~BusyServer() {
+    holder.join();
+    server->stop();
+    util::FaultInjector::instance().reset();
+  }
+
+  Service service;
+  std::unique_ptr<Server> server;
+  std::thread holder;
+};
+
+TEST(ServeClient, CallRetriesAnInflightShedUntilTheVerdict) {
+  BusyServer busy(/*hold_ms=*/300, /*retry_after_ms=*/20);
+  Client client(kHost, busy.server->port(), /*max_attempts=*/100);
+  const JsonValue got = JsonValue::parse(client.call(kShowMin));
+  EXPECT_FALSE(got.has("error"));
+  EXPECT_EQ(got.get_string("name", ""), "fig1/min");
+  EXPECT_GT(client.counters().sheds, 0u);
+  EXPECT_EQ(client.counters().retries, client.counters().sheds);
+  EXPECT_EQ(client.counters().resets, 0u);
+}
+
+TEST(ServeClient, CallReturnsANonRetriableErrorAtOnce) {
+  Service service;
+  Server server(service);
+  server.start();
+  Client client(kHost, server.port());
+  const JsonValue bad = JsonValue::parse(client.call("{not json"));
+  server.stop();
+  EXPECT_TRUE(bad.has("error"));
+  EXPECT_FALSE(bad.get_bool("retriable", false));
+  EXPECT_EQ(client.counters().retries, 0u);
+  EXPECT_EQ(client.counters().sheds, 0u);
+  EXPECT_EQ(server.stats().requests, 1u);
+}
+
+TEST(ServeClient, CallReconnectsThroughResetsToTheOneShotVerdict) {
+  Service reference;
+  const JsonValue want =
+      JsonValue::parse(Server::dispatch_line(reference, kVerifyMin));
+
+  // Deterministic resets on both sides of the wire: every 3rd server read
+  // and every 4th server write drops the connection.
+  util::FaultInjector::instance().configure(
+      "server.read.reset=every:3,server.write.reset=every:4");
+  Service service;
+  Server server(service);
+  server.start();
+  Client client(kHost, server.port(), /*max_attempts=*/10);
+  std::vector<std::string> responses;
+  for (int i = 0; i < 8; ++i) responses.push_back(client.call(kVerifyMin));
+  server.stop();
+  util::FaultInjector::instance().reset();
+
+  EXPECT_GT(client.counters().resets, 0u);
+  EXPECT_EQ(client.counters().retries, client.counters().resets);
+  for (const std::string& response : responses) {
+    expect_same_verdict(JsonValue::parse(response), want);
+  }
+}
+
+TEST(ServeClient, SpentBudgetsReturnTheLastShedOrThrow) {
+  BusyServer busy(/*hold_ms=*/400, /*retry_after_ms=*/10);
+  {
+    // Sheds: the first answer plus two retries, then the last shed.
+    Client client(kHost, busy.server->port(), /*max_attempts=*/2);
+    const JsonValue shed = JsonValue::parse(client.call(kShowMin));
+    EXPECT_EQ(shed.get_string("error", ""), "overloaded");
+    EXPECT_TRUE(shed.get_bool("retriable", false));
+    EXPECT_EQ(client.counters().sheds, 3u);
+    EXPECT_EQ(client.counters().retries, 2u);
+  }
+  {
+    // Resets: every read fails, so the third fault is rethrown.
+    util::FaultInjector::instance().configure("server.read.reset=always");
+    Client client(kHost, busy.server->port(), /*max_attempts=*/2);
+    EXPECT_THROW((void)client.call(kShowMin), std::runtime_error);
+    EXPECT_EQ(client.counters().resets, 3u);
+    EXPECT_EQ(client.counters().retries, 2u);
+    EXPECT_EQ(client.counters().sheds, 0u);
+  }
 }
 
 }  // namespace

@@ -26,10 +26,11 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "util/json_parse.h"
+#include "util/json_value.h"
 
 namespace {
 
@@ -38,10 +39,16 @@ struct Record {
   double wall_seconds = 0.0;
 };
 
-/// Extracts {name -> record} from a bench_table.h-format JSON file. The
-/// format is machine-written and syntax-checked first, so a focused
-/// scanner is enough: walk the "records" array and pull the three fixed
-/// keys of each object.
+/// A record's number; null (how the writer emits NaN/Inf) reads as 0.
+double number_or_zero(const crnkit::util::JsonValue& record,
+                      const char* key) {
+  const crnkit::util::JsonValue& v = record.get(key);
+  return v.is_null() ? 0.0 : v.as_double();
+}
+
+/// Loads {name -> record} from a bench_table.h-format JSON file: its
+/// "records" array, each record with name, events_per_sec and
+/// wall_seconds (other members, nested ones included, are ignored).
 bool load_records(const std::string& path,
                   std::map<std::string, Record>& out,
                   std::string& error) {
@@ -52,66 +59,17 @@ bool load_records(const std::string& path,
   }
   std::stringstream buffer;
   buffer << in.rdbuf();
-  const std::string text = buffer.str();
-  if (!crnkit::util::JsonSyntaxChecker(text).valid()) {
-    error = path + " is not valid JSON";
-    return false;
-  }
-
-  const std::size_t records_at = text.find("\"records\"");
-  if (records_at == std::string::npos) {
-    error = path + " has no \"records\" array";
-    return false;
-  }
-  std::size_t pos = text.find('[', records_at);
-  if (pos == std::string::npos) {
-    error = path + ": malformed records array";
-    return false;
-  }
-
-  const auto find_string = [&](std::size_t from, const char* record_key,
-                               std::size_t end, std::string& value) {
-    const std::string needle = std::string("\"") + record_key + "\":";
-    const std::size_t at = text.find(needle, from);
-    if (at == std::string::npos || at >= end) return false;
-    const std::size_t q1 = text.find('"', at + needle.size());
-    if (q1 == std::string::npos) return false;
-    const std::size_t q2 = text.find('"', q1 + 1);
-    if (q2 == std::string::npos) return false;
-    value = text.substr(q1 + 1, q2 - q1 - 1);
-    return true;
-  };
-  const auto find_number = [&](std::size_t from, const char* record_key,
-                               std::size_t end, double& value) {
-    const std::string needle = std::string("\"") + record_key + "\":";
-    const std::size_t at = text.find(needle, from);
-    if (at == std::string::npos || at >= end) return false;
-    value = std::strtod(text.c_str() + at + needle.size(), nullptr);
-    return true;
-  };
-
-  while (true) {
-    const std::size_t obj = text.find('{', pos);
-    const std::size_t close = text.find(']', pos);
-    if (obj == std::string::npos || (close != std::string::npos &&
-                                     close < obj)) {
-      break;  // end of the records array
+  try {
+    const crnkit::util::JsonValue doc =
+        crnkit::util::JsonValue::parse(buffer.str());
+    for (const crnkit::util::JsonValue& record : doc.get("records").items()) {
+      out[record.get("name").as_string()] = {
+          number_or_zero(record, "events_per_sec"),
+          number_or_zero(record, "wall_seconds")};
     }
-    const std::size_t obj_end = text.find('}', obj);
-    if (obj_end == std::string::npos) {
-      error = path + ": unterminated record object";
-      return false;
-    }
-    std::string name;
-    Record r;
-    if (!find_string(obj, "name", obj_end, name) ||
-        !find_number(obj, "events_per_sec", obj_end, r.events_per_sec) ||
-        !find_number(obj, "wall_seconds", obj_end, r.wall_seconds)) {
-      error = path + ": record missing name/events_per_sec/wall_seconds";
-      return false;
-    }
-    out[name] = r;
-    pos = obj_end + 1;
+  } catch (const std::invalid_argument& e) {
+    error = path + ": " + e.what();
+    return false;
   }
   if (out.empty()) {
     error = path + " has an empty records array";

@@ -1,8 +1,9 @@
 // chaos_replay: the fault-injection acceptance harness for the serving
 // stack. It arms the util::FaultInjector failpoints (accept drops, read
 // and write resets, dispatch delays, journal short-writes), drives >= 1k
-// mixed line-JSON requests through real sockets with a reconnecting
-// backoff client, and asserts the robustness contract:
+// mixed line-JSON requests through real sockets with svc::Client (whose
+// call() reconnects on resets and backs off on typed sheds), and asserts
+// the robustness contract:
 //
 //   * zero crashes — the daemon survives every armed fault class;
 //   * every shed or refused request is TYPED retriable (the line-JSON
@@ -31,11 +32,9 @@
 #include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
+#include "svc/client.h"
 #include "svc/proof_cache.h"
 #include "svc/server.h"
 #include "svc/service.h"
@@ -46,7 +45,7 @@
 namespace {
 
 using crnkit::util::JsonValue;
-using crnkit::util::splitmix64;
+using crnkit::util::splitmix_uniform;
 
 /// The default armed fault classes for the self-hosting mode: every
 /// server-side failpoint plus journal short-writes, at rates high enough
@@ -58,75 +57,12 @@ constexpr const char* kDefaultFaults =
 
 struct Tally {
   std::size_t completed = 0;    ///< requests that got a full JSON reply
-  std::size_t sheds = 0;        ///< typed retriable overloaded replies
+  std::size_t sheds = 0;        ///< typed retriable refusals received
   std::size_t untyped = 0;      ///< refusals NOT carrying the typed shape
   std::size_t resets = 0;       ///< connection resets (reconnect + retry)
   std::size_t retries = 0;
-  std::size_t hard_failures = 0;  ///< retry budget exhausted
+  std::size_t hard_failures = 0;  ///< reset budget exhausted
   std::vector<double> latencies_ms;
-};
-
-class Prng {
- public:
-  explicit Prng(std::uint64_t seed) : state_(seed) {}
-  double uniform() {
-    state_ = splitmix64(state_ + 0x9e3779b97f4a7c15ULL);
-    return static_cast<double>(state_ >> 11) * 0x1.0p-53;
-  }
-
- private:
-  std::uint64_t state_;
-};
-
-/// Blocking line client; throws std::runtime_error on any socket fault so
-/// the chaos loop can count the reset and reconnect.
-class LineClient {
- public:
-  LineClient(const std::string& host, int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1 ||
-        ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-            0) {
-      ::close(fd_);
-      throw std::runtime_error("cannot connect");
-    }
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  std::string roundtrip(const std::string& line) {
-    const std::string out = line + "\n";
-    std::size_t sent = 0;
-    while (sent < out.size()) {
-      const ssize_t n =
-          ::send(fd_, out.data() + sent, out.size() - sent, MSG_NOSIGNAL);
-      if (n <= 0) throw std::runtime_error("send failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string response = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return response;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) throw std::runtime_error("connection closed mid-reply");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
 };
 
 /// The mixed request stream: mostly cheap cached verifies, with shows,
@@ -134,8 +70,8 @@ class LineClient {
 /// In --spill mode a quarter of the stream is an over-budget verify that
 /// runs out-of-core, so the armed spill failpoints have traffic to hit
 /// (the first one explores and spills; the rest coalesce or hit cache).
-std::string pick_request(Prng& prng, bool spill) {
-  const double u = prng.uniform();
+std::string pick_request(std::uint64_t& state, bool spill) {
+  const double u = splitmix_uniform(state);
   if (spill && u < 0.25) {
     return R"({"op": "verify", "target": "chain/compose-18", "input": "6"})";
   }
@@ -147,62 +83,40 @@ std::string pick_request(Prng& prng, bool spill) {
          R"( "max_events": 20000})";
 }
 
-/// One request with reconnect-on-reset and backoff-on-overload. Updates
-/// the tally; returns when the request completed, was typed-shed past the
-/// retry budget, or hard-failed.
-void drive_one(const std::string& host, int port, const std::string& request,
-               std::optional<LineClient>& client, Prng& prng, Tally& tally,
-               int max_attempts) {
+/// One request through the client's retry contract, tallied. A final
+/// refusal means the shed budget ran out on backpressure (tolerated by
+/// design) — but only if it carries the typed retriable shape; call()
+/// throwing means the reset budget ran out.
+void drive_one(crnkit::svc::Client& client, const std::string& request,
+               Tally& tally) {
   const auto t0 = std::chrono::steady_clock::now();
-  // Resets get their own budget: a long exploration can legitimately eat
-  // the whole shed budget as backpressure (tolerated by design), and one
-  // unlucky injected reset on top must not masquerade as a hard failure.
-  int reset_attempts = 0;
-  for (int attempt = 0;; ++attempt) {
-    try {
-      if (!client) client.emplace(host, port);
-      const std::string response = client->roundtrip(request);
-      const JsonValue v = JsonValue::parse(response);
-      if (!v.get_string("error", "").empty()) {
-        // Any refusal (`overloaded` backpressure, `spill_io` disk
-        // trouble, ...) must carry the typed retriable shape; the error
-        // name only picks the backoff, the contract is the same.
-        ++tally.sheds;
-        if (!v.get_bool("retriable", false) ||
-            v.get_int("retry_after_ms", 0) <= 0) {
-          ++tally.untyped;
-          return;  // contract violation — recorded, no point retrying
-        }
-        if (attempt >= max_attempts) return;  // budget spent on backpressure
-        ++tally.retries;
-        std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-            static_cast<double>(v.get_int("retry_after_ms", 10)) *
-            (0.5 + 0.5 * prng.uniform())));
-        continue;
-      }
-      ++tally.completed;
-      tally.latencies_ms.push_back(
-          std::chrono::duration<double, std::milli>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-      return;
-    } catch (const std::exception&) {
-      // Socket fault (armed accept drop / read reset / write reset, or a
-      // torn reply): reconnect and retry.
-      client.reset();
-      ++tally.resets;
-      if (++reset_attempts > max_attempts) {
-        ++tally.hard_failures;
-        return;
-      }
-      ++tally.retries;
-      // Linear backoff: consecutive resets mean the accept loop is
-      // starved, so waiting longer each time is what actually clears it.
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          5.0 * static_cast<double>(reset_attempts) *
-          (0.5 + 0.5 * prng.uniform())));
-    }
+  std::string response;
+  try {
+    response = client.call(request);
+  } catch (const std::runtime_error&) {
+    ++tally.hard_failures;
+    return;
   }
+  try {
+    const JsonValue v = JsonValue::parse(response);
+    if (!v.get_string("error", "").empty()) {
+      // Any refusal (`overloaded` backpressure, `spill_io` disk trouble,
+      // ...) must carry the typed retriable shape; call() returns an
+      // untyped one at once.
+      if (!v.get_bool("retriable", false) ||
+          v.get_int("retry_after_ms", 0) <= 0) {
+        ++tally.untyped;
+      }
+      return;
+    }
+  } catch (const std::invalid_argument&) {
+    ++tally.untyped;  // not even JSON: a contract violation
+    return;
+  }
+  ++tally.completed;
+  tally.latencies_ms.push_back(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - t0)
+                                   .count());
 }
 
 double percentile(std::vector<double> sorted, double q) {
@@ -216,7 +130,8 @@ int run(int argc, char** argv) {
   std::size_t threads = 4;
   std::uint64_t seed = 1;
   double p99_budget_ms = 30'000;
-  // Per-request retry budget. 8 is ample on a native build; sanitizer CI
+  // Per-request retry budget, for sheds and for resets each (the
+  // svc::Client contract). 8 is ample on a native build; sanitizer CI
   // (TSan slows the server ~10x, so injected resets pile onto loaded
   // accept queues much longer) raises it — the contract checked there is
   // "no races, no crashes, typed sheds", not the retry SLO.
@@ -319,23 +234,30 @@ int run(int argc, char** argv) {
   }
 
   // Concurrent drivers so the inflight gate actually sheds (self-host
-  // mode caps it at 2); each worker gets its own connection, PRNG
-  // stream, and tally, merged afterwards.
+  // mode caps it at 2); each worker gets its own client, request stream,
+  // and tally, merged afterwards.
   std::vector<Tally> tallies(threads);
   std::vector<std::thread> workers;
   workers.reserve(threads);
   for (std::size_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
-      Prng prng(seed + w * 0x51ed2701ULL);
+      std::uint64_t stream = seed + w * 0x51ed2701ULL;
       Tally& tally = tallies[w];
-      std::optional<LineClient> client;
-      const std::size_t quota = count / threads + (w < count % threads);
-      for (std::size_t i = 0; i < quota; ++i) {
-        // Fresh connections now and then so the accept failpoint and the
-        // connection gate see steady traffic.
-        if (i % 16 == 0) client.reset();
-        drive_one(host, port, pick_request(prng, spill), client, prng, tally,
-                  max_attempts);
+      try {
+        crnkit::svc::Client client(host, port, max_attempts, ~stream);
+        const std::size_t quota = count / threads + (w < count % threads);
+        for (std::size_t i = 0; i < quota; ++i) {
+          // Fresh connections now and then so the accept failpoint and
+          // the connection gate see steady traffic.
+          if (i > 0 && i % 16 == 0) client.disconnect();
+          drive_one(client, pick_request(stream, spill), tally);
+        }
+        tally.sheds = client.counters().sheds;
+        tally.resets = client.counters().resets;
+        tally.retries = client.counters().retries;
+      } catch (const std::exception& e) {
+        std::fprintf(stderr, "chaos_replay: %s\n", e.what());
+        ++tally.hard_failures;  // could not even connect
       }
     });
   }

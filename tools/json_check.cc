@@ -5,9 +5,10 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
-#include "util/json_parse.h"
+#include "util/json_value.h"
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -25,8 +26,11 @@ int main(int argc, char** argv) {
     std::ostringstream contents;
     contents << file.rdbuf();
     const std::string text = contents.str();
-    if (!crnkit::util::JsonSyntaxChecker(text).valid()) {
-      std::fprintf(stderr, "json_check: %s is not valid JSON\n", argv[i]);
+    try {
+      (void)crnkit::util::JsonValue::parse(text);
+    } catch (const std::invalid_argument& e) {
+      std::fprintf(stderr, "json_check: %s is not valid JSON: %s\n", argv[i],
+                   e.what());
       ++bad;
       continue;
     }

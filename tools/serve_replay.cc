@@ -28,22 +28,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include "scenario/registry.h"
+#include "svc/client.h"
 #include "svc/server.h"
 #include "svc/service.h"
 #include "util/hash.h"
@@ -52,12 +45,12 @@
 
 namespace {
 
-using crnkit::util::splitmix64;
+using crnkit::util::splitmix_uniform;
 
 struct PassReport {
   std::size_t requests = 0;
   std::size_t errors = 0;
-  std::size_t retries = 0;  ///< overloaded/reset retries (connect mode)
+  std::size_t retries = 0;  ///< shed/reset retries (connect mode)
   double wall_seconds = 0;
   double requests_per_sec = 0;
   double p50_us = 0;
@@ -70,19 +63,6 @@ double percentile(std::vector<double> sorted_us, double q) {
       q * static_cast<double>(sorted_us.size() - 1));
   return sorted_us[idx];
 }
-
-/// Deterministic splitmix64 counter PRNG in [0, 1).
-class Prng {
- public:
-  explicit Prng(std::uint64_t seed) : state_(seed) {}
-  double uniform() {
-    state_ = splitmix64(state_ + 0x9e3779b97f4a7c15ULL);
-    return static_cast<double>(state_ >> 11) * 0x1.0p-53;
-  }
-
- private:
-  std::uint64_t state_;
-};
 
 /// The generated mix: zipf over the verifiable registry scenarios, ops
 /// weighted verify 70% / show 20% / simulate 10% (simulate is never
@@ -104,16 +84,16 @@ std::vector<std::string> generate_requests(std::size_t count,
     cumulative.push_back(total);
   }
 
-  Prng prng(seed);
+  std::uint64_t state = seed;
   std::vector<std::string> requests;
   requests.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    const double u = prng.uniform() * total;
+    const double u = splitmix_uniform(state) * total;
     const auto it =
         std::lower_bound(cumulative.begin(), cumulative.end(), u);
     const std::string& name =
         names[static_cast<std::size_t>(it - cumulative.begin())];
-    const double op = prng.uniform();
+    const double op = splitmix_uniform(state);
     if (op < 0.70) {
       requests.push_back("{\"op\": \"verify\", \"target\": \"" + name +
                          "\"}");
@@ -152,130 +132,6 @@ std::vector<std::string> read_requests(const std::string& path) {
   }
   return requests;
 }
-
-/// Line-JSON TCP client for --connect mode; one connection per pass.
-class LineClient {
- public:
-  LineClient(const std::string& host, int port) {
-    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd_ < 0) throw std::runtime_error("socket() failed");
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-      ::close(fd_);
-      throw std::runtime_error("bad host '" + host + "'");
-    }
-    if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
-        0) {
-      ::close(fd_);
-      throw std::runtime_error("cannot connect to " + host + ":" +
-                               std::to_string(port));
-    }
-  }
-  ~LineClient() {
-    if (fd_ >= 0) ::close(fd_);
-  }
-  LineClient(const LineClient&) = delete;
-  LineClient& operator=(const LineClient&) = delete;
-
-  std::string roundtrip(const std::string& line) {
-    const std::string out = line + "\n";
-    std::size_t sent = 0;
-    while (sent < out.size()) {
-      const ssize_t n = ::send(fd_, out.data() + sent, out.size() - sent, 0);
-      if (n <= 0) throw std::runtime_error("send failed");
-      sent += static_cast<std::size_t>(n);
-    }
-    for (;;) {
-      const auto newline = buffer_.find('\n');
-      if (newline != std::string::npos) {
-        std::string response = buffer_.substr(0, newline);
-        buffer_.erase(0, newline + 1);
-        return response;
-      }
-      char chunk[4096];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
-      if (n <= 0) throw std::runtime_error("connection closed mid-reply");
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
-
- private:
-  int fd_ = -1;
-  std::string buffer_;
-};
-
-/// LineClient with fault handling: typed retriable `overloaded` responses
-/// back off (jittered exponential, seeded by the response's
-/// retry_after_ms) and retry; a connection reset reconnects and retries.
-/// Both draw from a per-request attempt budget — when it runs out the
-/// last response (or the reset) is surfaced so the caller sees the
-/// overload instead of an infinite retry loop.
-class RetryingClient {
- public:
-  RetryingClient(std::string host, int port, std::uint64_t seed)
-      : host_(std::move(host)), port_(port), prng_(seed) {
-    client_.emplace(host_, port_);
-  }
-
-  std::string roundtrip(const std::string& line) {
-    int attempt = 0;
-    for (;;) {
-      try {
-        if (!client_) client_.emplace(host_, port_);
-        const std::string response = client_->roundtrip(line);
-        const long retry_after_ms = retriable_after_ms(response);
-        if (retry_after_ms < 0 || attempt >= kMaxAttempts) return response;
-        ++attempt;
-        ++retries_;
-        backoff(attempt, retry_after_ms);
-      } catch (const std::runtime_error&) {
-        client_.reset();
-        if (attempt >= kMaxAttempts) throw;
-        ++attempt;
-        ++retries_;
-        backoff(attempt, 50);
-      }
-    }
-  }
-
-  [[nodiscard]] std::size_t retries() const { return retries_; }
-
- private:
-  static constexpr int kMaxAttempts = 5;
-
-  /// retry_after_ms of a typed retriable shed response, -1 otherwise.
-  static long retriable_after_ms(const std::string& response) {
-    if (response.find("\"overloaded\"") == std::string::npos) return -1;
-    try {
-      const crnkit::util::JsonValue v =
-          crnkit::util::JsonValue::parse(response);
-      if (v.get_string("error", "") != "overloaded" ||
-          !v.get_bool("retriable", false)) {
-        return -1;
-      }
-      return static_cast<long>(v.get_int("retry_after_ms", 50));
-    } catch (const std::invalid_argument&) {
-      return -1;
-    }
-  }
-
-  void backoff(int attempt, long base_ms) {
-    if (base_ms <= 0) base_ms = 50;
-    const double jitter = 0.5 + 0.5 * prng_.uniform();  // half to full
-    const double ms =
-        static_cast<double>(base_ms) * static_cast<double>(1 << (attempt - 1)) *
-        jitter;
-    std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(ms));
-  }
-
-  std::string host_;
-  int port_;
-  Prng prng_;
-  std::optional<LineClient> client_;
-  std::size_t retries_ = 0;
-};
 
 template <typename Dispatch>
 PassReport run_pass(const std::vector<std::string>& requests,
@@ -409,35 +265,33 @@ int run(int argc, char** argv) {
     }
     const std::string host = connect->substr(0, colon);
     const int port = std::stoi(connect->substr(colon + 1));
+    // One connection per pass; sheds and resets are retried under the
+    // client's contract (5 of each per request) and reported per pass.
+    const auto remote_pass = [&](std::uint64_t jitter_seed) {
+      crnkit::svc::Client client(host, port, 5, jitter_seed);
+      PassReport report = run_pass(requests, [&](const std::string& line) {
+        return client.call(line);
+      });
+      report.retries = client.counters().retries;
+      return report;
+    };
     if (scrape) {
-      LineClient client(host, port);
+      crnkit::svc::Client client(host, port);
       counters_before =
-          parse_counters(client.roundtrip("{\"op\": \"metrics\"}"));
+          parse_counters(client.call("{\"op\": \"metrics\"}"));
     }
-    {
-      RetryingClient client(host, port, seed);
-      cold = run_pass(requests, [&](const std::string& line) {
-        return client.roundtrip(line);
-      });
-      cold.retries = client.retries();
-    }
-    {
-      RetryingClient client(host, port, seed + 1);
-      warm = run_pass(requests, [&](const std::string& line) {
-        return client.roundtrip(line);
-      });
-      warm.retries = client.retries();
-    }
+    cold = remote_pass(seed);
+    warm = remote_pass(seed + 1);
     if (scrape || metrics_out) {
-      LineClient client(host, port);
+      crnkit::svc::Client client(host, port);
       if (scrape) {
         counters_after =
-            parse_counters(client.roundtrip("{\"op\": \"metrics\"}"));
+            parse_counters(client.call("{\"op\": \"metrics\"}"));
       }
       if (metrics_out) {
         prometheus_text =
             crnkit::util::JsonValue::parse(
-                client.roundtrip(
+                client.call(
                     "{\"op\": \"metrics\", \"format\": \"prometheus\"}"))
                 .get("prometheus")
                 .as_string();
